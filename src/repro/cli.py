@@ -58,7 +58,7 @@ from repro.experiments.reporting import (
     format_table,
     progress_renderer_for,
 )
-from repro.experiments.runner import PAPER_COMPARISON_METHODS
+from repro.experiments.runner import METHOD_REGISTRY, PAPER_COMPARISON_METHODS
 from repro.runtime.dynamics import ATTACHMENT_POLICIES, DynamicsSchedule
 from repro.utils.logging import configure_logging
 
@@ -72,6 +72,10 @@ _COMPARE_COLUMNS = (
     "events",
 )
 
+#: Float formats of the ``compare`` table columns that are not whole
+#: seconds or counts (every other float column renders with ``{:.0f}``).
+_COMPARE_FORMATS = {"final_accuracy": "{:.4f}"}
+
 
 def _add_common_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -81,6 +85,19 @@ def _add_common_output_options(parser: argparse.ArgumentParser) -> None:
         help="write machine-readable results to this JSON file",
     )
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
+
+
+def _add_methods_option(parser: argparse.ArgumentParser) -> None:
+    """``--methods``: unknown names are a usage error (exit 2) listing the
+    valid ones, raised before any population is built."""
+    parser.add_argument(
+        "--methods",
+        nargs="+",
+        choices=tuple(METHOD_REGISTRY),
+        default=list(PAPER_COMPARISON_METHODS),
+        metavar="METHOD",
+        help=f"training methods to run (from: {', '.join(METHOD_REGISTRY)})",
+    )
 
 
 def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
@@ -205,7 +222,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if renderer is not None:
             renderer.close()
     rows = result.payloads()
-    print(format_table(rows, columns=_COMPARE_COLUMNS))
+    print(
+        format_table(rows, columns=_COMPARE_COLUMNS, column_formats=_COMPARE_FORMATS)
+    )
     if args.target and any(row["method"] == "ComDML" for row in rows):
         print()
         speedups = comparison.speedups_from_payloads(rows, args.target)
@@ -524,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="JSON DynamicsSchedule applied to every method's run (see 'comdml schedule')",
     )
-    compare.add_argument("--methods", nargs="+", default=list(PAPER_COMPARISON_METHODS))
+    _add_methods_option(compare)
     _add_common_output_options(compare)
     _add_campaign_options(compare)
     compare.set_defaults(handler=_cmd_compare)
@@ -537,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table2_parser = subparsers.add_parser("table2", help="reproduce Table II")
     table2_parser.add_argument("--datasets", nargs="+", default=["cifar10", "cifar100", "cinic10"])
-    table2_parser.add_argument("--methods", nargs="+", default=list(PAPER_COMPARISON_METHODS))
+    _add_methods_option(table2_parser)
     table2_parser.add_argument("--agents", type=int, default=10)
     _add_common_output_options(table2_parser)
     _add_campaign_options(table2_parser)
@@ -546,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     table3_parser = subparsers.add_parser("table3", help="reproduce Table III")
     table3_parser.add_argument("--models", nargs="+", default=["resnet56", "resnet110"])
     table3_parser.add_argument("--agent-counts", nargs="+", type=int, default=[20, 50, 100])
-    table3_parser.add_argument("--methods", nargs="+", default=list(PAPER_COMPARISON_METHODS))
+    _add_methods_option(table3_parser)
     _add_common_output_options(table3_parser)
     _add_campaign_options(table3_parser)
     table3_parser.set_defaults(handler=_cmd_table3)
@@ -561,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig3_parser = subparsers.add_parser("fig3", help="reproduce Figure 3 (20%% connectivity)")
     fig3_parser.add_argument("--datasets", nargs="+", default=["cifar10", "cifar100", "cinic10"])
-    fig3_parser.add_argument("--methods", nargs="+", default=list(PAPER_COMPARISON_METHODS))
+    _add_methods_option(fig3_parser)
     _add_common_output_options(fig3_parser)
     _add_campaign_options(fig3_parser)
     fig3_parser.set_defaults(handler=_cmd_fig3)

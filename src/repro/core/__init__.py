@@ -20,7 +20,6 @@ from repro.core.planner import (
     PrunedPlanner,
     build_planner,
 )
-from repro.core.shard import ShardStats, ShardedPlanner, stale_segment_names
 from repro.core.scheduler import DecentralizedPairingScheduler
 from repro.core.timing import PairTiming, RoundTiming, compute_round_timing
 from repro.core.config import ComDMLConfig
@@ -44,9 +43,6 @@ __all__ = [
     "PlannerStats",
     "PrunedPlanner",
     "build_planner",
-    "ShardStats",
-    "ShardedPlanner",
-    "stale_segment_names",
     "DecentralizedPairingScheduler",
     "PairTiming",
     "RoundTiming",

@@ -80,9 +80,6 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
             top_k=self.config.planner_top_k,
             threshold=self.config.planner_threshold,
             improvement_threshold=self.config.improvement_threshold,
-            shards=self.config.planner_shards,
-            balance=self.config.planner_balance,
-            compaction_threshold=self.config.planner_csr_compaction,
         )
         #: Agent ids whose planner rows went stale since the last plan.
         #: Arrival/departure bursts coalesce here and flush as ONE
@@ -258,20 +255,14 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
         """Operation counters of this run's planner, or ``None`` without one.
 
         The :class:`~repro.core.planner.PlannerStats` counters (rows
-        recomputed/reused, CSR edits/rebuilds/compactions), plus — when the
-        sharded planner is active — its :class:`~repro.core.shard.ShardStats`
-        under a ``"shards"`` key (per-shard cost split and spread).  Campaign
-        cells attach this to their payload so
+        recomputed/reused, CSR edits/rebuilds/compactions).  Campaign cells
+        attach this to their payload so
         :func:`repro.experiments.reporting.execution_report` can aggregate
-        planner behaviour, shard imbalance included, across the sweep.
+        planner behaviour across the sweep.
         """
         if self.planner is None:
             return None
-        report = self.planner.stats.report()
-        shard_stats = getattr(self.planner, "shard_stats", None)
-        if shard_stats is not None:
-            report["shards"] = shard_stats.report()
-        return report
+        return self.planner.stats.report()
 
     def _flush_invalidations(self) -> None:
         """Hand the coalesced dynamics dirty set to the planner, once.

@@ -15,6 +15,14 @@ from repro.network.link import LinkModel
 from repro.network.topology import full_topology
 
 
+def pytest_configure(config):
+    # Markers must be registered: ``--strict-markers`` (pytest.ini) turns
+    # an unregistered or misspelled marker into a collection error.
+    config.addinivalue_line(
+        "markers", "slow: long-running end-to-end tests (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic random generator for tests."""

@@ -22,6 +22,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--dataset", "imagenet"])
 
+    @pytest.mark.parametrize("command", ["compare", "table2", "table3", "fig3"])
+    def test_unknown_method_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--methods", "ComDML", "comdml"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "invalid choice: 'comdml'" in error
+        for name in ("ComDML", "Gossip Learning", "FedAvg"):
+            assert repr(name) in error
+
     def test_all_subcommands_parse(self):
         parser = build_parser()
         for command in ("compare", "table1", "table2", "table3", "fig1", "fig3", "privacy"):
@@ -113,6 +123,14 @@ class TestMain:
             == 0
         )
         [row] = json.loads(out.read_text())
+        # The rendered table shows the same accuracy to 4 decimals.
+        table_lines = capsys.readouterr().out.splitlines()
+        header = table_lines[0].split()
+        cells = table_lines[2].split()
+        assert cells[header.index("final_accuracy")] == (
+            f"{row['final_accuracy']:.4f}"
+        )
+        assert 0.0 < row["final_accuracy"] < 1.0
         assert list(row) == [
             "method",
             "rounds",

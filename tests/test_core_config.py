@@ -34,16 +34,6 @@ class TestComDMLConfig:
         with pytest.raises(ValueError):
             ComDMLConfig(churn_fraction=2.0)
 
-    def test_planner_shards_normalized(self):
-        assert ComDMLConfig().planner_shards == "auto"
-        assert ComDMLConfig(planner_shards="AUTO").planner_shards == "auto"
-        assert ComDMLConfig(planner_shards=4).planner_shards == 4
-
-    @pytest.mark.parametrize("shards", [0, -1, "bogus", "2"])
-    def test_invalid_planner_shards_rejected(self, shards):
-        with pytest.raises(ValueError):
-            ComDMLConfig(planner_shards=shards)
-
     def test_valid_paper_table2_configuration(self):
         config = ComDMLConfig(
             target_accuracy=0.9,

@@ -62,6 +62,11 @@ class TestReportingHelpers:
         assert "ComDML" in text and "FedAvg" in text
         assert len(text.splitlines()) == 4
 
+    def test_format_table_column_formats_override_float_format(self):
+        rows = [{"method": "ComDML", "total_time_s": 12.6, "final_accuracy": 0.6374}]
+        text = format_table(rows, column_formats={"final_accuracy": "{:.4f}"})
+        assert text.splitlines()[2].split() == ["ComDML", "13", "0.6374"]
+
     def test_format_table_empty(self):
         assert "empty" in format_table([])
 

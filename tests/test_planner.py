@@ -17,12 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.agents.agent import Agent
 from repro.agents.resources import ResourceProfile
-from repro.core.config import ComDMLConfig, normalize_planner_mode
+from repro.core.config import PLANNER_MODES, ComDMLConfig, normalize_planner_mode
 from repro.core.pairing import greedy_pairing, greedy_pairing_reference
 from repro.core.planner import PrunedPlanner, build_planner
 from repro.core.profiling import profile_architecture
 from repro.core.scheduler import DecentralizedPairingScheduler
-from repro.core.shard import ShardedPlanner
 from repro.core.workload import individual_training_time
 from repro.models.resnet import resnet56_spec
 from repro.network.link import LinkModel
@@ -68,6 +67,13 @@ def _link_model(agents, topology_kind: str, seed: int) -> LinkModel:
     return LinkModel(full_topology(ids))
 
 
+class _HalvedLinkModel(LinkModel):
+    """Custom pairwise semantics: half the default effective bandwidth."""
+
+    def bandwidth(self, a, b):
+        return super().bandwidth(a, b) / 2.0
+
+
 def _full_budget_planner(agents, link_model, **kwargs) -> PrunedPlanner:
     """A planner whose candidate budget covers every possible peer."""
     return PrunedPlanner(
@@ -76,7 +82,7 @@ def _full_budget_planner(agents, link_model, **kwargs) -> PrunedPlanner:
 
 
 # ----------------------------------------------------------------------
-# Tentpole property: sharded ≡ pruned ≡ dense ≡ scalar at full budget
+# Tentpole property: pruned ≡ dense ≡ scalar at full budget
 # ----------------------------------------------------------------------
 class TestPrunedDenseEquivalence:
     @given(
@@ -84,13 +90,17 @@ class TestPrunedDenseEquivalence:
         topology_kind=st.sampled_from(TOPOLOGY_KINDS),
         threshold=st.sampled_from([0.0, 0.2, 0.95]),
         seed=st.integers(min_value=0, max_value=100),
+        custom_links=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_four_way_decision_identity(
-        self, population, topology_kind, threshold, seed
+    def test_three_way_decision_identity(
+        self, population, topology_kind, threshold, seed, custom_links
     ):
         agents = _build_agents(population)
         link_model = _link_model(agents, topology_kind, seed)
+        if custom_links:
+            # Overridden link semantics take the per-pair bandwidth path.
+            link_model = _HalvedLinkModel(link_model.topology)
         planner = _full_budget_planner(
             agents, link_model, improvement_threshold=threshold
         )
@@ -102,19 +112,6 @@ class TestPrunedDenseEquivalence:
             agents, link_model, PROFILE, improvement_threshold=threshold
         )
         assert pruned == dense == scalar
-        sharded_planner = ShardedPlanner(
-            PROFILE,
-            link_model,
-            top_k=max(len(agents) - 1, 1),
-            improvement_threshold=threshold,
-            shards=2,
-            shard_min_population=0,
-        )
-        try:
-            sharded, _ = sharded_planner.plan(agents)
-            assert sharded == pruned
-        finally:
-            sharded_planner.close()
 
     @given(
         population=st.lists(AGENT_STRATEGY, min_size=2, max_size=10),
@@ -386,7 +383,8 @@ class TestPlannerSelection:
     def test_config_normalizes_and_validates_planner_mode(self):
         assert ComDMLConfig(planner="PRUNED").planner == "pruned"
         assert normalize_planner_mode("Auto") == "auto"
-        with pytest.raises(ValueError, match="planner"):
+        assert PLANNER_MODES == ("dense", "pruned", "auto")
+        with pytest.raises(ValueError, match=r"\('dense', 'pruned', 'auto'\)"):
             ComDMLConfig(planner="bogus")
 
     @pytest.mark.parametrize(

@@ -14,19 +14,14 @@ history that ``--check`` can gate on:
     # kernel's same-machine speedup over the scalar reference (the
     # machine-independent signal) fell below 4x, if the pruned planner's
     # scaling exponent drifted super-linear, if its 5000-agent round
-    # got slower than the dense kernel's 500-agent round, if the sharded
-    # planner's 50k round blew past its single-process partner, if the
-    # incremental CSR engine lost its 3x edge over the full rebuild, if
-    # the cost-balanced partitioner's realised per-shard spread skewed,
-    # or if a planner shared-memory segment leaked into /dev/shm.
-    # --quick skips the scale500k- and scale1m-marked benches.
+    # got slower than the dense kernel's 500-agent round, or if the
+    # incremental CSR engine lost its 3x edge over the full rebuild.
     PYTHONPATH=src python tools/bench_trajectory.py ci --out bench-ci.json \
         --check BENCH_9.json --max-ratio 2.0 --min-speedup 4.0 \
-        --max-exponent 1.3 --planner-dense-ratio 1.0 --shard-ratio 2.0 \
-        --csr-ratio 3.0 --balance-spread 1.5 --fail-on-shm-leak --quick
+        --max-exponent 1.3 --planner-dense-ratio 1.0 --csr-ratio 3.0
 
 Snapshot schema 2 adds per-bench ``extra`` columns (peak traced bytes and
-high-water RSS from the scaling benches, sharded-round counters).  See
+high-water RSS from the scaling benches, CSR edit counters).  See
 docs/performance.md for the file format and how to read it.
 """
 
@@ -62,16 +57,6 @@ PLANNER_DENSE_PAIR = (
     "test_dense_round_speed_500",
 )
 
-#: Same-run pair gated by --shard-ratio: the sharded planner's 50k-agent
-#: steady-state round against the single-process pruned planner on the
-#: identical workload.  On multi-core hosts the ratio should sit below
-#: 1.0; the CI gate is lenient (2.0) because single-core runners pay the
-#: IPC overhead without any parallel speedup to show for it.
-SHARD_PAIR = (
-    "test_sharded_planner_round_speed[50000]",
-    "test_planner_round_speed[random-k-50000]",
-)
-
 #: Same-run pair gated by --csr-ratio: the incremental CSR engine
 #: absorbing a 50k-population arrival wave as O(Δ) journal edits against
 #: the O(E) full rebuild of the same graph.  Unlike the other gates this
@@ -81,17 +66,6 @@ CSR_PAIR = (
     "test_csr_arrival_wave_rebuild_speed",
     "test_csr_arrival_wave_incremental_speed",
 )
-
-#: Bench whose ``cost_spread_max`` extra column --balance-spread gates:
-#: the realised max-over-mean per-shard row-cost ratio of the sharded
-#: 50k round (1.0 is a perfect split; the partitioner targets the
-#: prefix-sum optimum, so sustained skew means balancing regressed).
-SPREAD_BENCH = "test_sharded_planner_round_speed[50000]"
-
-#: Prefix of the sharded planner's /dev/shm segments (mirrors
-#: ``repro.core.shard.SHARD_SHM_PREFIX`` without importing the package,
-#: which this tool deliberately avoids).
-SHM_PREFIX = "comdml-shard-"
 
 SCHEMA = 2
 
@@ -118,6 +92,28 @@ def scaling_exponent(benches: dict) -> float | None:
     mean_y = sum(y for _, y in points) / len(points)
     denominator = sum((x - mean_x) ** 2 for x, _ in points)
     return sum((x - mean_x) * (y - mean_y) for x, y in points) / denominator
+
+
+def same_run_ratio(benches: dict, pair: tuple[str, str]) -> float | None:
+    """Median of ``pair[0]`` over median of ``pair[1]``, both from one run."""
+    top, bottom = pair
+    if top not in benches or bottom not in benches:
+        return None
+    return benches[top]["median_seconds"] / benches[bottom]["median_seconds"]
+
+
+def gate(name: str, value: float | None, bound: float | None, *, floor: bool) -> int:
+    """Status of one same-run gate: 0 passes (or is not requested), 2 fails."""
+    if bound is None:
+        return 0
+    if value is None:
+        print(f"check: {name}: benches missing from the suite")
+        return 2
+    if (value < bound) if floor else (value > bound):
+        side = "below the floor" if floor else "above the limit"
+        print(f"check: {name} {value:.2f} {side} {bound:.2f} REGRESSION")
+        return 2
+    return 0
 
 
 def _git(*args: str) -> str:
@@ -265,18 +261,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--shard-ratio",
-        type=float,
-        default=None,
-        help=(
-            "fail when the sharded planner's 50k-agent round takes more than "
-            "this multiple of the single-process pruned planner's round on "
-            "the identical workload in THIS run (use a lenient bound like "
-            "2.0 on single-core runners, where the pool pays IPC overhead "
-            "without parallel speedup)"
-        ),
-    )
-    parser.add_argument(
         "--csr-ratio",
         type=float,
         default=None,
@@ -288,181 +272,37 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--balance-spread",
-        type=float,
-        default=None,
-        help=(
-            "fail when the sharded 50k round's realised max-over-mean "
-            "per-shard row-cost spread (its cost_spread_max extra column) "
-            "exceeds this in THIS run (1.0 is a perfect split)"
-        ),
-    )
-    parser.add_argument(
-        "--fail-on-shm-leak",
-        action="store_true",
-        help=(
-            "fail when a sharded-planner shared-memory segment "
-            f"({SHM_PREFIX}*) survives in /dev/shm after the suite"
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help=(
-            "skip the scale500k-marked half-million-agent benches and the "
-            "scale1m-marked million-agent benches"
-        ),
-    )
-    parser.add_argument(
         "pytest_args",
         nargs="*",
         help="extra arguments forwarded to pytest (after --)",
     )
     args = parser.parse_args(argv)
 
-    pytest_args = list(args.pytest_args)
-    if args.quick:
-        pytest_args += ["-m", "not scale500k and not scale1m"]
-    raw = run_suite(pytest_args)
+    raw = run_suite(list(args.pytest_args))
     snap = snapshot(args.label, raw)
     out = args.out if args.out is not None else ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out} ({len(snap['benches'])} benches, sha {snap['git_sha'][:9]})")
 
-    status = 0
-    scalar, vectorized = SPEEDUP_PAIR
-    speedup = None
-    if scalar in snap["benches"] and vectorized in snap["benches"]:
-        speedup = (
-            snap["benches"][scalar]["median_seconds"]
-            / snap["benches"][vectorized]["median_seconds"]
-        )
-        print(f"round-planning kernel speedup on this machine: {speedup:.1f}x")
-    if args.min_speedup is not None:
-        if speedup is None:
-            print("check: speedup pair missing from the suite")
-            status = 2
-        elif speedup < args.min_speedup:
-            print(
-                f"check: speedup {speedup:.1f}x below the {args.min_speedup:.1f}x "
-                "floor REGRESSION"
-            )
-            status = 2
-
-    exponent = scaling_exponent(snap["benches"])
-    if exponent is not None:
-        print(
-            f"planner scaling exponent ({SCALING_TOPOLOGY}, "
-            f"n={'/'.join(map(str, SCALING_POPULATIONS))}): {exponent:.2f}"
-        )
-    if args.max_exponent is not None:
-        if exponent is None:
-            print("check: scaling-curve benches missing from the suite")
-            status = 2
-        elif exponent > args.max_exponent:
-            print(
-                f"check: scaling exponent {exponent:.2f} above the "
-                f"{args.max_exponent:.2f} ceiling REGRESSION"
-            )
-            status = 2
-
-    pruned, dense = PLANNER_DENSE_PAIR
-    planner_ratio = None
-    if pruned in snap["benches"] and dense in snap["benches"]:
-        planner_ratio = (
-            snap["benches"][pruned]["median_seconds"]
-            / snap["benches"][dense]["median_seconds"]
-        )
-        print(
-            f"pruned 5000-agent round vs dense 500-agent round: "
-            f"{planner_ratio:.2f}x"
-        )
-    if args.planner_dense_ratio is not None:
-        if planner_ratio is None:
-            print("check: planner/dense comparison benches missing from the suite")
-            status = 2
-        elif planner_ratio > args.planner_dense_ratio:
-            print(
-                f"check: planner/dense ratio {planner_ratio:.2f}x above the "
-                f"{args.planner_dense_ratio:.2f}x limit REGRESSION"
-            )
-            status = 2
-
-    sharded, single = SHARD_PAIR
-    shard_ratio = None
-    if sharded in snap["benches"] and single in snap["benches"]:
-        shard_ratio = (
-            snap["benches"][sharded]["median_seconds"]
-            / snap["benches"][single]["median_seconds"]
-        )
-        print(
-            f"sharded 50k-agent round vs single-process round: "
-            f"{shard_ratio:.2f}x"
-        )
-    if args.shard_ratio is not None:
-        if shard_ratio is None:
-            print("check: sharded/single-process comparison benches missing")
-            status = 2
-        elif shard_ratio > args.shard_ratio:
-            print(
-                f"check: sharded/single ratio {shard_ratio:.2f}x above the "
-                f"{args.shard_ratio:.2f}x limit REGRESSION"
-            )
-            status = 2
-
-    rebuild, incremental = CSR_PAIR
-    csr_ratio = None
-    if rebuild in snap["benches"] and incremental in snap["benches"]:
-        csr_ratio = (
-            snap["benches"][rebuild]["median_seconds"]
-            / snap["benches"][incremental]["median_seconds"]
-        )
-        print(
-            f"incremental CSR arrival-wave edit vs full rebuild: "
-            f"{csr_ratio:.1f}x faster"
-        )
-    if args.csr_ratio is not None:
-        if csr_ratio is None:
-            print("check: CSR arrival-wave benches missing from the suite")
-            status = 2
-        elif csr_ratio < args.csr_ratio:
-            print(
-                f"check: CSR edit speedup {csr_ratio:.1f}x below the "
-                f"{args.csr_ratio:.1f}x floor REGRESSION"
-            )
-            status = 2
-
-    spread = (
-        snap["benches"]
-        .get(SPREAD_BENCH, {})
-        .get("extra", {})
-        .get("cost_spread_max")
+    benches = snap["benches"]
+    populations = "/".join(map(str, SCALING_POPULATIONS))
+    gates = (
+        # (what is measured, value in THIS run, bound, bound is a floor)
+        ("round-planning kernel speedup, scalar / vectorized",
+         same_run_ratio(benches, SPEEDUP_PAIR), args.min_speedup, True),
+        (f"planner scaling exponent ({SCALING_TOPOLOGY}, n={populations})",
+         scaling_exponent(benches), args.max_exponent, False),
+        ("pruned 5000-agent round / dense 500-agent round",
+         same_run_ratio(benches, PLANNER_DENSE_PAIR),
+         args.planner_dense_ratio, False),
+        ("CSR arrival-wave full rebuild / incremental edit",
+         same_run_ratio(benches, CSR_PAIR), args.csr_ratio, True),
     )
-    if spread is not None:
-        print(f"sharded 50k round max per-shard cost spread: {spread:.2f}x")
-    if args.balance_spread is not None:
-        if spread is None:
-            print("check: cost_spread_max column missing from the sharded bench")
-            status = 2
-        elif spread > args.balance_spread:
-            print(
-                f"check: shard cost spread {spread:.2f}x above the "
-                f"{args.balance_spread:.2f}x limit REGRESSION"
-            )
-            status = 2
-
-    if args.fail_on_shm_leak:
-        shm_dir = Path("/dev/shm")
-        leaked = (
-            sorted(path.name for path in shm_dir.glob(SHM_PREFIX + "*"))
-            if shm_dir.is_dir()
-            else []
-        )
-        if leaked:
-            print(f"check: leaked shared-memory segments in /dev/shm: {leaked}")
-            status = 2
-        else:
-            print("check: no sharded-planner segments left in /dev/shm ok")
+    status = 0
+    for name, value, bound, floor in gates:
+        if value is not None:
+            print(f"{name}: {value:.2f}")
+        status = max(status, gate(name, value, bound, floor=floor))
 
     if args.check is not None:
         status = max(
